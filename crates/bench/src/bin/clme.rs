@@ -2541,9 +2541,10 @@ fn mem_bench<B: StoreBackend>(
     let rekey_secs = started.elapsed().as_secs_f64();
 
     println!(
-        "clme-mem bench: {} blocks, batches of 64, backend {}, 1 warm-up pass{}",
+        "clme-mem bench: {} blocks, batches of 64, backend {}, crypto {}, 1 warm-up pass{}",
         blocks,
         args.backend,
+        clme_crypto::backend(),
         if args.reps > 1 {
             format!(", best of {} reps", args.reps)
         } else {
@@ -2731,12 +2732,13 @@ fn mem_bench_tenants<B: StoreBackend>(
 
     println!(
         "clme-mem bench: {} blocks, {} tenants (skew {:.2}, top {} exact), batches of 64, \
-         backend {}, 1 warm-up pass{}",
+         backend {}, crypto {}, 1 warm-up pass{}",
         layer.blocks(),
         tenant_count,
         args.skew,
         args.tenant_top.min(tenant_count as usize),
         args.backend,
+        clme_crypto::backend(),
         if args.reps > 1 {
             format!(", best of {} reps", args.reps)
         } else {

@@ -21,7 +21,7 @@ use clme_counters::tree::IntegrityTree;
 use clme_crypto::combine::combine_nonlinear;
 use clme_crypto::keys::KeyMaterial;
 use clme_crypto::mac::counterless_mac;
-use clme_crypto::otp::xor64;
+use clme_crypto::otp::{trunc64, xor64};
 use clme_ecc::codec::{decode_meta, encode};
 use clme_ecc::correct::{verify_or_correct, CorrectionOutcome, MacVerifier};
 use clme_ecc::encmeta::{EncMeta, MetaWord, MAX_COUNTER};
@@ -311,7 +311,7 @@ impl MemoryImage {
     ) -> EncodedBlock {
         let pad = pad_for(&self.keys, block.raw(), counter);
         let ciphertext = xor64(plaintext, &pad);
-        let otp_trunc = u64::from_le_bytes(pad[..8].try_into().expect("64-byte pad"));
+        let otp_trunc = trunc64(&pad);
         let mac = self
             .keys
             .counter_mode_mac()
@@ -370,7 +370,7 @@ impl MacVerifier for BlockVerifier<'_> {
             EncMeta::Counter(counter) => {
                 let pad = pad_for(self.keys, self.addr, counter as u64);
                 let plaintext = xor64(ciphertext, &pad);
-                let otp_trunc = u64::from_le_bytes(pad[..8].try_into().expect("64-byte pad"));
+                let otp_trunc = trunc64(&pad);
                 mac == self.keys.counter_mode_mac().tag(otp_trunc, &plaintext, counter)
             }
         }

@@ -109,19 +109,18 @@ impl CounterBlock {
 
     /// Serialises into a 64-byte block image (8-byte major + 56 bytes of
     /// packed 7-bit minors), demonstrating the storage claim that one
-    /// counter block fits a 64-byte line.
+    /// counter block fits a 64-byte line. Minor `i` occupies bits
+    /// `7i..7i + 7` of the packed little-endian bit string; eight minors
+    /// fill exactly 7 bytes, so each group of eight packs as one word.
     pub fn to_bytes(&self) -> [u8; 64] {
         let mut out = [0u8; 64];
         out[..8].copy_from_slice(&self.major.to_le_bytes());
-        // Pack 64 × 7-bit minors into 56 bytes.
-        let mut bit = 0usize;
-        for &minor in &self.minors {
-            for k in 0..7 {
-                if minor >> k & 1 == 1 {
-                    out[8 + (bit + k) / 8] |= 1 << ((bit + k) % 8);
-                }
-            }
-            bit += 7;
+        for (dst, group) in out[8..]
+            .chunks_exact_mut(7)
+            .zip(self.minors.chunks_exact(8))
+        {
+            let packed = pack_minors(u64::from_le_bytes(group.try_into().expect("8 minors")));
+            dst.copy_from_slice(&packed.to_le_bytes()[..7]);
         }
         out
     }
@@ -130,19 +129,28 @@ impl CounterBlock {
     pub fn from_bytes(bytes: &[u8; 64]) -> CounterBlock {
         let major = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte major"));
         let mut minors = [0u8; BLOCKS_PER_COUNTER_BLOCK];
-        let mut bit = 0usize;
-        for minor in minors.iter_mut() {
-            let mut v = 0u8;
-            for k in 0..7 {
-                if bytes[8 + (bit + k) / 8] >> ((bit + k) % 8) & 1 == 1 {
-                    v |= 1 << k;
-                }
-            }
-            *minor = v;
-            bit += 7;
+        for (group, src) in minors.chunks_exact_mut(8).zip(bytes[8..].chunks_exact(7)) {
+            let mut word = [0u8; 8];
+            word[..7].copy_from_slice(src);
+            group.copy_from_slice(&unpack_minors(u64::from_le_bytes(word)).to_le_bytes());
         }
         CounterBlock { major, minors }
     }
+}
+
+/// Packs eight 7-bit values, one per byte of `bytes` (little-endian),
+/// into the low 56 bits: pairs into 14-bit fields, then 28, then 56.
+fn pack_minors(bytes: u64) -> u64 {
+    let x = (bytes & 0x007F_007F_007F_007F) | ((bytes & 0x7F00_7F00_7F00_7F00) >> 1);
+    let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
+    (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4)
+}
+
+/// Inverse of [`pack_minors`]: spreads 56 bits back to eight bytes.
+fn unpack_minors(packed: u64) -> u64 {
+    let x = (packed & 0x0000_0000_0FFF_FFFF) | ((packed & 0x00FF_FFFF_F000_0000) << 4);
+    let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x0FFF_C000_0FFF_C000) << 2);
+    (x & 0x007F_007F_007F_007F) | ((x & 0x3F80_3F80_3F80_3F80) << 1)
 }
 
 #[cfg(test)]
@@ -243,6 +251,61 @@ mod tests {
 mod split_properties {
     use super::*;
     use clme_types::rng::Xoshiro256;
+
+    /// The bit-at-a-time image: minor `i`'s bit `k` at bit `7i + k`
+    /// after the major. The oracle for the word-packed codec.
+    fn to_bytes_bitwise(cb: &CounterBlock) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        out[..8].copy_from_slice(&cb.major.to_le_bytes());
+        for (i, &minor) in cb.minors.iter().enumerate() {
+            for k in 0..7 {
+                if minor >> k & 1 == 1 {
+                    out[8 + (7 * i + k) / 8] |= 1 << ((7 * i + k) % 8);
+                }
+            }
+        }
+        out
+    }
+
+    fn from_bytes_bitwise(bytes: &[u8; 64]) -> CounterBlock {
+        let mut minors = [0u8; BLOCKS_PER_COUNTER_BLOCK];
+        for (i, minor) in minors.iter_mut().enumerate() {
+            for k in 0..7 {
+                if bytes[8 + (7 * i + k) / 8] >> ((7 * i + k) % 8) & 1 == 1 {
+                    *minor |= 1 << k;
+                }
+            }
+        }
+        CounterBlock {
+            major: u64::from_le_bytes(bytes[..8].try_into().unwrap()),
+            minors,
+        }
+    }
+
+    /// Random majors and minors encode to the same image as the bit
+    /// loop, and random images decode to the same block.
+    #[test]
+    fn packed_image_matches_bitwise_oracle() {
+        let mut rng = Xoshiro256::seed_from(0x7B17);
+        for case in 0..2000 {
+            let mut cb = CounterBlock::new();
+            cb.major = rng.next_u64();
+            for minor in cb.minors.iter_mut() {
+                *minor = rng.below(MINOR_MAX as u64 + 1) as u8;
+            }
+            let image = cb.to_bytes();
+            assert_eq!(image, to_bytes_bitwise(&cb), "case {case}");
+            assert_eq!(CounterBlock::from_bytes(&image), cb, "case {case}");
+
+            let mut noise = [0u8; 64];
+            rng.fill_bytes(&mut noise);
+            assert_eq!(
+                CounterBlock::from_bytes(&noise),
+                from_bytes_bitwise(&noise),
+                "case {case}"
+            );
+        }
+    }
 
     /// Any interleaving of increments keeps every slot's counter
     /// strictly monotonic (nonce never reused) and the block

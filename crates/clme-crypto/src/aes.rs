@@ -1,50 +1,24 @@
-//! AES-128 and AES-256 (FIPS 197), implemented from first principles.
+//! AES-128 and AES-256 (FIPS 197), dispatched at runtime.
 //!
-//! The S-box is generated from its algebraic definition (GF(2⁸) inversion
-//! followed by the affine map) instead of being transcribed, and the whole
-//! cipher is validated against the FIPS 197 known-answer vectors in the
-//! test module. Throughput is a non-goal — the *timing* of AES in the
-//! memory system is modelled by the simulator's latency parameters
-//! (Table I: 10 ns / 14 ns) — but correctness is load-bearing: the
-//! functional memory model encrypts real bytes with this code.
+//! On CPUs with AES-NI every round is one `aesenc`/`aesdec`
+//! instruction, and the multi-block calls ([`Aes::encrypt_blocks`])
+//! keep several blocks' rounds in flight together. Elsewhere the cipher
+//! falls back to the byte-wise [`crate::reference`] implementation,
+//! whose S-box is derived from its algebraic definition rather than
+//! transcribed. Both paths are validated against the FIPS 197
+//! known-answer vectors, and the fast one against the reference on
+//! random keys and blocks.
+//!
+//! The hardware path is constant-time. The reference path is not: its
+//! S-box lookups are indexed by secret state bytes. The simulator's
+//! *timing* of AES comes from its latency parameters (Table I: 10 ns /
+//! 14 ns), not from this code; the functional memory model and
+//! `clme-mem` encrypt real bytes with it.
 
-use crate::gf::{gf8_inv, gf8_mul, xtime};
-use std::sync::OnceLock;
+use crate::hw;
+use crate::reference::{self, RoundKeys};
 
-/// Number of 32-bit words in an AES state/block.
-const NB: usize = 4;
-
-static SBOX: OnceLock<[u8; 256]> = OnceLock::new();
-static INV_SBOX: OnceLock<[u8; 256]> = OnceLock::new();
-
-/// The AES S-box, generated as `affine(inv(x))` per FIPS 197 §5.1.1.
-pub fn sbox() -> &'static [u8; 256] {
-    SBOX.get_or_init(|| {
-        let mut table = [0u8; 256];
-        for (x, slot) in table.iter_mut().enumerate() {
-            *slot = affine(gf8_inv(x as u8));
-        }
-        table
-    })
-}
-
-/// The inverse AES S-box (the forward table inverted).
-pub fn inv_sbox() -> &'static [u8; 256] {
-    INV_SBOX.get_or_init(|| {
-        let fwd = sbox();
-        let mut table = [0u8; 256];
-        for (x, &s) in fwd.iter().enumerate() {
-            table[s as usize] = x as u8;
-        }
-        table
-    })
-}
-
-/// FIPS 197 affine transformation: `b ⊕ rotl(b,1) ⊕ rotl(b,2) ⊕ rotl(b,3)
-/// ⊕ rotl(b,4) ⊕ 0x63`.
-fn affine(b: u8) -> u8 {
-    b ^ b.rotate_left(1) ^ b.rotate_left(2) ^ b.rotate_left(3) ^ b.rotate_left(4) ^ 0x63
-}
+pub use crate::reference::{inv_sbox, sbox};
 
 /// An AES cipher instance with a fully expanded key schedule.
 ///
@@ -62,8 +36,10 @@ fn affine(b: u8) -> u8 {
 /// ```
 #[derive(Clone)]
 pub struct Aes {
-    /// Round keys, one 16-byte key per round plus the initial key.
-    round_keys: Vec<[u8; 16]>,
+    /// Encryption round keys, one per round plus the initial key.
+    enc: RoundKeys,
+    /// The equivalent inverse cipher's round keys, for `aesdec`.
+    dec: RoundKeys,
     rounds: usize,
 }
 
@@ -91,153 +67,41 @@ impl Aes {
     }
 
     fn expand(key: &[u8], rounds: usize) -> Aes {
-        let nk = key.len() / 4;
-        let total_words = NB * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
-        }
-        let mut rcon: u8 = 1;
-        for i in nk..total_words {
-            let mut temp = w[i - 1];
-            if i % nk == 0 {
-                temp = sub_word(rot_word(temp));
-                temp[0] ^= rcon;
-                rcon = xtime(rcon);
-            } else if nk > 6 && i % nk == 4 {
-                temp = sub_word(temp);
-            }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
-        }
-        let round_keys = (0..=rounds)
-            .map(|r| {
-                let mut rk = [0u8; 16];
-                for c in 0..NB {
-                    rk[4 * c..4 * c + 4].copy_from_slice(&w[NB * r + c]);
-                }
-                rk
-            })
-            .collect();
-        Aes { round_keys, rounds }
+        let enc = reference::expand_key(key, rounds);
+        let dec = reference::equivalent_inverse_keys(&enc, rounds);
+        Aes { enc, dec, rounds }
     }
 
     /// Encrypts one 16-byte block.
+    #[inline]
     pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut state = block;
-        add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..self.rounds {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
-        }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        add_round_key(&mut state, &self.round_keys[self.rounds]);
-        state
+        self.encrypt_blocks([block])[0]
     }
 
     /// Decrypts one 16-byte block.
+    #[inline]
     pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut state = block;
-        add_round_key(&mut state, &self.round_keys[self.rounds]);
-        for round in (1..self.rounds).rev() {
-            inv_shift_rows(&mut state);
-            inv_sub_bytes(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
-            inv_mix_columns(&mut state);
-        }
-        inv_shift_rows(&mut state);
-        inv_sub_bytes(&mut state);
-        add_round_key(&mut state, &self.round_keys[0]);
-        state
+        self.decrypt_blocks([block])[0]
     }
-}
 
-fn rot_word(w: [u8; 4]) -> [u8; 4] {
-    [w[1], w[2], w[3], w[0]]
-}
-
-fn sub_word(w: [u8; 4]) -> [u8; 4] {
-    let s = sbox();
-    [s[w[0] as usize], s[w[1] as usize], s[w[2] as usize], s[w[3] as usize]]
-}
-
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk.iter()) {
-        *s ^= k;
-    }
-}
-
-fn sub_bytes(state: &mut [u8; 16]) {
-    let s = sbox();
-    for byte in state.iter_mut() {
-        *byte = s[*byte as usize];
-    }
-}
-
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    let s = inv_sbox();
-    for byte in state.iter_mut() {
-        *byte = s[*byte as usize];
-    }
-}
-
-/// State layout is FIPS column-major: flat index `4c + r` holds row `r`,
-/// column `c`; input byte order maps directly onto this layout.
-fn shift_rows(state: &mut [u8; 16]) {
-    let old = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * c + r] = old[4 * ((c + r) % 4) + r];
+    /// Encrypts `N` independent blocks. With AES-NI their rounds run
+    /// interleaved, so four blocks cost little more than one.
+    #[inline]
+    pub fn encrypt_blocks<const N: usize>(&self, blocks: [[u8; 16]; N]) -> [[u8; 16]; N] {
+        match hw::get() {
+            Some(hw) => hw.aes_encrypt(&self.enc, self.rounds, blocks),
+            None => blocks.map(|b| reference::encrypt(&self.enc, self.rounds, b)),
         }
     }
-}
 
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let old = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * ((c + r) % 4) + r] = old[4 * c + r];
+    /// Decrypts `N` independent blocks, interleaved like
+    /// [`Aes::encrypt_blocks`].
+    #[inline]
+    pub fn decrypt_blocks<const N: usize>(&self, blocks: [[u8; 16]; N]) -> [[u8; 16]; N] {
+        match hw::get() {
+            Some(hw) => hw.aes_decrypt(&self.dec, self.rounds, blocks),
+            None => blocks.map(|b| reference::decrypt(&self.enc, self.rounds, b)),
         }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
-        state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] = gf8_mul(col[0], 0x0E)
-            ^ gf8_mul(col[1], 0x0B)
-            ^ gf8_mul(col[2], 0x0D)
-            ^ gf8_mul(col[3], 0x09);
-        state[4 * c + 1] = gf8_mul(col[0], 0x09)
-            ^ gf8_mul(col[1], 0x0E)
-            ^ gf8_mul(col[2], 0x0B)
-            ^ gf8_mul(col[3], 0x0D);
-        state[4 * c + 2] = gf8_mul(col[0], 0x0D)
-            ^ gf8_mul(col[1], 0x09)
-            ^ gf8_mul(col[2], 0x0E)
-            ^ gf8_mul(col[3], 0x0B);
-        state[4 * c + 3] = gf8_mul(col[0], 0x0B)
-            ^ gf8_mul(col[1], 0x0D)
-            ^ gf8_mul(col[2], 0x09)
-            ^ gf8_mul(col[3], 0x0E);
     }
 }
 
@@ -285,20 +149,38 @@ mod tests {
         }
     }
 
+    /// Checks one known answer through the dispatched cipher (AES-NI
+    /// where the CPU has it), its multi-block form and the reference.
+    fn known_answer(dispatched: Aes, reference: reference::Aes, pt: [u8; 16], ct: [u8; 16]) {
+        assert_eq!(dispatched.encrypt_block(pt), ct);
+        assert_eq!(dispatched.decrypt_block(ct), pt);
+        let ct2 = dispatched.encrypt_block(ct);
+        assert_eq!(dispatched.encrypt_blocks([pt, ct, pt]), [ct, ct2, ct]);
+        assert_eq!(dispatched.decrypt_blocks([ct; 4]), [pt; 4]);
+        assert_eq!(reference.encrypt_block(pt), ct);
+        assert_eq!(reference.decrypt_block(ct), pt);
+    }
+
     #[test]
     fn fips197_appendix_b_aes128() {
-        let aes = Aes::new_128(hex16("2b7e151628aed2a6abf7158809cf4f3c"));
-        let ct = aes.encrypt_block(hex16("3243f6a8885a308d313198a2e0370734"));
-        assert_eq!(ct, hex16("3925841d02dc09fbdc118597196a0b32"));
+        let key = hex16("2b7e151628aed2a6abf7158809cf4f3c");
+        known_answer(
+            Aes::new_128(key),
+            reference::Aes::new_128(key),
+            hex16("3243f6a8885a308d313198a2e0370734"),
+            hex16("3925841d02dc09fbdc118597196a0b32"),
+        );
     }
 
     #[test]
     fn fips197_appendix_c1_aes128() {
-        let aes = Aes::new_128(hex16("000102030405060708090a0b0c0d0e0f"));
-        let pt = hex16("00112233445566778899aabbccddeeff");
-        let ct = aes.encrypt_block(pt);
-        assert_eq!(ct, hex16("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        assert_eq!(aes.decrypt_block(ct), pt);
+        let key = hex16("000102030405060708090a0b0c0d0e0f");
+        known_answer(
+            Aes::new_128(key),
+            reference::Aes::new_128(key),
+            hex16("00112233445566778899aabbccddeeff"),
+            hex16("69c4e0d86a7b0430d8cdb78070b4c55a"),
+        );
     }
 
     #[test]
@@ -306,11 +188,12 @@ mod tests {
         let key: [u8; 32] = hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
             .try_into()
             .unwrap();
-        let aes = Aes::new_256(key);
-        let pt = hex16("00112233445566778899aabbccddeeff");
-        let ct = aes.encrypt_block(pt);
-        assert_eq!(ct, hex16("8ea2b7ca516745bfeafc49904b496089"));
-        assert_eq!(aes.decrypt_block(ct), pt);
+        known_answer(
+            Aes::new_256(key),
+            reference::Aes::new_256(key),
+            hex16("00112233445566778899aabbccddeeff"),
+            hex16("8ea2b7ca516745bfeafc49904b496089"),
+        );
     }
 
     #[test]
@@ -360,9 +243,9 @@ mod tests {
     fn shift_rows_inverse_property() {
         let mut state: [u8; 16] = core::array::from_fn(|i| i as u8);
         let orig = state;
-        shift_rows(&mut state);
+        reference::shift_rows(&mut state);
         assert_ne!(state, orig);
-        inv_shift_rows(&mut state);
+        reference::inv_shift_rows(&mut state);
         assert_eq!(state, orig);
     }
 
@@ -370,8 +253,8 @@ mod tests {
     fn mix_columns_inverse_property() {
         let mut state: [u8; 16] = core::array::from_fn(|i| (i * 17) as u8);
         let orig = state;
-        mix_columns(&mut state);
-        inv_mix_columns(&mut state);
+        reference::mix_columns(&mut state);
+        reference::inv_mix_columns(&mut state);
         assert_eq!(state, orig);
     }
 }

@@ -11,6 +11,8 @@
 //!   whose linearity is exactly the weakness Counter-light's nonlinear
 //!   combiner fixes.
 
+use crate::{hw, reference};
+
 /// Multiplies two elements of GF(2⁸) modulo the AES polynomial 0x11B.
 ///
 /// # Examples
@@ -140,26 +142,58 @@ impl Gf128 {
         v
     }
 
-    /// Full field multiplication (bit-serial; plenty fast for MAC
-    /// computation over 8 lanes per block).
+    /// Full field multiplication. With PCLMULQDQ this is three 64×64
+    /// carry-less products (Karatsuba) and a fold of the high half by
+    /// `x¹²⁸ ≡ 0x87`, in constant time; otherwise the bit-serial
+    /// [`reference::gf128_mul`], which branches on the operands' bits.
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn mul(self, other: Gf128) -> Gf128 {
-        let mut acc: u128 = 0;
-        let mut a = self.0;
-        let mut b = other.0;
-        while b != 0 {
-            if b & 1 != 0 {
-                acc ^= a;
-            }
-            let carry = a >> 127;
-            a <<= 1;
-            if carry != 0 {
-                a ^= 0x87;
-            }
-            b >>= 1;
-        }
-        Gf128(acc)
+        Gf128::dot(&[self], &[other])
     }
+
+    /// The dot product `Σᵢ aᵢ·bᵢ`. With PCLMULQDQ the unreduced
+    /// products are summed and reduced once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use clme_crypto::gf::Gf128;
+    ///
+    /// let (a, b, c) = (Gf128(3), Gf128(u128::MAX), Gf128(1 << 127));
+    /// assert_eq!(Gf128::dot(&[a, b], &[c, a]), a.mul(c).add(b.mul(a)));
+    /// ```
+    pub fn dot(a: &[Gf128], b: &[Gf128]) -> Gf128 {
+        assert_eq!(a.len(), b.len(), "dot product of unequal lengths");
+        match hw::get() {
+            Some(hw) => {
+                let (lo, hi) = hw.clmul_sum(a, b);
+                Gf128(reduce(lo, hi))
+            }
+            None => dot_portable(a, b),
+        }
+    }
+}
+
+/// [`Gf128::dot`] on the bit-serial reference multiply.
+fn dot_portable(a: &[Gf128], b: &[Gf128]) -> Gf128 {
+    a.iter().zip(b).fold(Gf128::ZERO, |acc, (x, y)| {
+        acc.add(Gf128(reference::gf128_mul(x.0, y.0)))
+    })
+}
+
+/// Reduces the 256-bit product `hi·x¹²⁸ + lo` modulo
+/// `x¹²⁸ + x⁷ + x² + x + 1`: `hi·x¹²⁸ ≡ hi·(x⁷ + x² + x + 1)`, whose
+/// seven bits above x¹²⁷ fold once more the same way.
+#[inline]
+fn reduce(lo: u128, hi: u128) -> u128 {
+    let over = (hi >> 121) ^ (hi >> 126) ^ (hi >> 127);
+    let fold = |v: u128| v ^ (v << 1) ^ (v << 2) ^ (v << 7);
+    lo ^ fold(hi) ^ fold(over)
 }
 
 #[cfg(test)]
@@ -252,6 +286,17 @@ mod tests {
         let c = Gf128(0x0F0F_F0F0_0F0F_F0F0_0F0F_F0F0_0F0F_F0F0);
         assert_eq!(a.mul(b), b.mul(a));
         assert_eq!(a.mul(b.add(c)), a.mul(b).add(a.mul(c)));
+    }
+
+    #[test]
+    fn dot_paths_agree() {
+        // The fallback a CPU without PCLMULQDQ takes, against whichever
+        // path this one dispatches to.
+        let a = [Gf128(u128::MAX), Gf128(1 << 127), Gf128(0x87), Gf128::ONE];
+        let b = [Gf128(1 << 127), Gf128(u128::MAX), Gf128(3), Gf128::ZERO];
+        assert_eq!(Gf128::dot(&a, &b), dot_portable(&a, &b));
+        assert_eq!(Gf128::dot(&a[..1], &b[..1]), a[0].mul(b[0]));
+        assert_eq!(Gf128::dot(&[], &[]), Gf128::ZERO);
     }
 
     #[test]

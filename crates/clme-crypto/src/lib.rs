@@ -38,13 +38,17 @@
 //! assert_eq!(aes.decrypt_block(ct), [0u8; 16]);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod aes;
 pub mod combine;
 pub mod gf;
+mod hw;
 pub mod keys;
 pub mod mac;
 pub mod otp;
 pub mod present;
+pub mod reference;
 pub mod sha3;
 pub mod xts;
 
@@ -52,3 +56,20 @@ pub use aes::Aes;
 pub use keys::KeyMaterial;
 pub use otp::OtpCipher;
 pub use xts::Xts;
+
+/// The implementation the dispatched primitives run on this CPU:
+/// `"aes-ni+pclmulqdq"` when it has both instruction sets (detected once,
+/// at first use), `"portable"` otherwise, which falls back to
+/// [`reference`].
+///
+/// # Examples
+///
+/// ```
+/// assert!(["aes-ni+pclmulqdq", "portable"].contains(&clme_crypto::backend()));
+/// ```
+pub fn backend() -> &'static str {
+    match hw::get() {
+        Some(_) => "aes-ni+pclmulqdq",
+        None => "portable",
+    }
+}

@@ -63,7 +63,9 @@ impl std::fmt::Debug for CounterModeMac {
 }
 
 impl CounterModeMac {
-    /// Derives the nine GF(2¹²⁸) lane keys from a 32-byte seed via SHA-3.
+    /// Derives the nine GF(2¹²⁸) lane keys from a 32-byte seed via SHA-3:
+    /// key `i` is the first 16 bytes of
+    /// `SHA3-256("clme:mac-lane:" || i || seed)`, little-endian.
     pub fn from_seed(seed: &[u8; 32]) -> CounterModeMac {
         let mut lane_keys = [Gf128::ZERO; DATA_LANES + 1];
         for (i, key) in lane_keys.iter_mut().enumerate() {
@@ -78,22 +80,20 @@ impl CounterModeMac {
     /// Computes the 64-bit tag for a block.
     ///
     /// * `otp_trunc` — the truncated one-time pad
-    ///   ([`crate::otp::OtpCipher::pad_trunc64`]), which binds address and
-    ///   counter.
+    ///   ([`crate::otp::trunc64`] of the block's pad), which binds address
+    ///   and counter.
     /// * `plaintext` — the block's 64 plaintext bytes, split into 8 lanes.
     /// * `enc_meta` — the EncryptionMetadata word (the counter value under
     ///   counter mode, per Section IV-C).
+    ///
+    /// The nine products go through one [`Gf128::dot`], so on PCLMULQDQ
+    /// hardware they are reduced once.
     pub fn tag(&self, otp_trunc: u64, plaintext: &[u8; 64], enc_meta: u32) -> u64 {
-        let mut dot = Gf128::ZERO;
-        for lane in 0..DATA_LANES {
-            let value = u64::from_le_bytes(
-                plaintext[8 * lane..8 * lane + 8]
-                    .try_into()
-                    .expect("8-byte lane"),
-            );
-            dot = dot.add(Gf128(value as u128).mul(self.lane_keys[lane]));
+        let mut inputs = [Gf128(enc_meta as u128); DATA_LANES + 1];
+        for (input, lane) in inputs.iter_mut().zip(plaintext.chunks_exact(8)) {
+            *input = Gf128(u64::from_le_bytes(lane.try_into().expect("8-byte lane")) as u128);
         }
-        dot = dot.add(Gf128(enc_meta as u128).mul(self.lane_keys[DATA_LANES]));
+        let dot = Gf128::dot(&inputs, &self.lane_keys);
         let folded = (dot.0 as u64) ^ ((dot.0 >> 64) as u64);
         otp_trunc ^ folded
     }

@@ -52,40 +52,32 @@ impl OtpCipher {
     /// address (block address and word index) with the 64-bit block write
     /// counter — the "Address for a 16B word, Counter for a 64B block"
     /// layout of Fig. 2b.
+    ///
+    /// The four word AESes are independent, so they run together
+    /// ([`Aes::encrypt_blocks`]).
     pub fn pad_block64(&self, block_addr: u64, counter: u64) -> [u8; 64] {
+        let inputs = std::array::from_fn(|j| pad_input(block_addr, j as u32, counter));
+        let words = self.cipher.encrypt_blocks::<WORDS_PER_BLOCK>(inputs);
         let mut pad = [0u8; 64];
-        for j in 0..WORDS_PER_BLOCK {
-            let word = self.pad_word(block_addr, j as u32, counter);
-            pad[16 * j..16 * (j + 1)].copy_from_slice(&word);
+        for (chunk, word) in pad.chunks_exact_mut(16).zip(&words) {
+            chunk.copy_from_slice(word);
         }
         pad
     }
 
     /// Generates the 16-byte pad for one word of a block.
     pub fn pad_word(&self, block_addr: u64, word_index: u32, counter: u64) -> [u8; 16] {
-        let mut input = [0u8; 16];
-        // 16B-word address = block address * 4 + word index.
-        let word_addr = block_addr
-            .wrapping_mul(WORDS_PER_BLOCK as u64)
-            .wrapping_add(word_index as u64);
-        input[..8].copy_from_slice(&word_addr.to_le_bytes());
-        input[8..16].copy_from_slice(&counter.to_le_bytes());
-        self.cipher.encrypt_block(input)
+        self.cipher
+            .encrypt_block(pad_input(block_addr, word_index, counter))
     }
 
-    /// Generates pads for a whole batch of `(block_addr, counter)`
-    /// requests in one pass over the already-expanded key schedule —
-    /// the software shape of the paper's "pads are computable before
-    /// the data arrive" pipeline. One `OtpCipher` keeps exactly one
-    /// AES key schedule, so a page's worth of pad requests shares the
-    /// schedule, the round-constant loads, and the instruction stream
-    /// instead of paying per-block call overhead.
+    /// Generates the pads for a batch of `(block_addr, counter)`
+    /// requests: [`OtpCipher::pad_block64`] for each.
     pub fn pad_batch64(&self, requests: &[(u64, u64)]) -> Vec<[u8; 64]> {
-        let mut pads = Vec::with_capacity(requests.len());
-        for &(block_addr, counter) in requests {
-            pads.push(self.pad_block64(block_addr, counter));
-        }
-        pads
+        requests
+            .iter()
+            .map(|&(block_addr, counter)| self.pad_block64(block_addr, counter))
+            .collect()
     }
 
     /// Encrypts a block: `C = P ⊕ OTP(addr, counter)`.
@@ -102,14 +94,6 @@ impl OtpCipher {
         ciphertext: &[u8; 64],
     ) -> [u8; 64] {
         self.encrypt_block64(block_addr, counter, ciphertext)
-    }
-
-    /// The 64-bit truncation of the block's pad used by the counter-mode
-    /// MAC (Section II-B: "bitwise XOR between a truncated OTP and a
-    /// truncated Galois Field dot product").
-    pub fn pad_trunc64(&self, block_addr: u64, counter: u64) -> u64 {
-        let word = self.pad_word(block_addr, 0, counter);
-        u64::from_le_bytes(word[..8].try_into().expect("16-byte pad word"))
     }
 
     /// Computes an *address-only* AES result (counter field zeroed) — the
@@ -135,6 +119,26 @@ impl OtpCipher {
         input[15] = 0xC7;
         self.cipher.encrypt_block(input)
     }
+}
+
+/// The AES input for one pad word: its 16B-word address (block address
+/// × 4 + word index) and the block's counter, little-endian.
+fn pad_input(block_addr: u64, word_index: u32, counter: u64) -> [u8; 16] {
+    let word_addr = block_addr
+        .wrapping_mul(WORDS_PER_BLOCK as u64)
+        .wrapping_add(word_index as u64);
+    let mut input = [0u8; 16];
+    input[..8].copy_from_slice(&word_addr.to_le_bytes());
+    input[8..].copy_from_slice(&counter.to_le_bytes());
+    input
+}
+
+/// The 64-bit truncation of a block pad used by the counter-mode MAC
+/// (Section II-B: "bitwise XOR between a truncated OTP and a truncated
+/// Galois Field dot product"): its first 8 bytes, taken from the pad the
+/// caller already generated rather than from another AES.
+pub fn trunc64(pad: &[u8; 64]) -> u64 {
+    u64::from_le_bytes(pad[..8].try_into().expect("64-byte pad"))
 }
 
 /// XORs two 64-byte arrays.
@@ -212,11 +216,8 @@ mod tests {
     #[test]
     fn pad_trunc_matches_word0() {
         let o = otp();
-        let pad = o.pad_block64(12, 34);
-        assert_eq!(
-            o.pad_trunc64(12, 34),
-            u64::from_le_bytes(pad[..8].try_into().unwrap())
-        );
+        let word0 = o.pad_word(12, 0, 34);
+        assert_eq!(trunc64(&o.pad_block64(12, 34)).to_le_bytes(), word0[..8]);
     }
 
     #[test]

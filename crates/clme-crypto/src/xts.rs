@@ -87,29 +87,37 @@ impl Xts {
         self.process(block_addr, ciphertext, false)
     }
 
+    /// XORs each word with its tweak `T_j`, runs the four data-key
+    /// AESes together, and XORs the tweaks back in.
     fn process(&self, block_addr: u64, input: &[u8; 64], encrypt: bool) -> [u8; 64] {
         let mut tweak = self.base_tweak(block_addr);
-        let mut out = [0u8; 64];
-        for j in 0..WORDS_PER_BLOCK {
+        let tweaks: [[u8; 16]; WORDS_PER_BLOCK] = std::array::from_fn(|_| {
             let t = tweak.to_bytes();
-            let mut word = [0u8; 16];
-            word.copy_from_slice(&input[16 * j..16 * (j + 1)]);
-            for (w, tb) in word.iter_mut().zip(t.iter()) {
-                *w ^= tb;
-            }
-            let mut cipher_out = if encrypt {
-                self.data_cipher.encrypt_block(word)
-            } else {
-                self.data_cipher.decrypt_block(word)
-            };
-            for (c, tb) in cipher_out.iter_mut().zip(t.iter()) {
-                *c ^= tb;
-            }
-            out[16 * j..16 * (j + 1)].copy_from_slice(&cipher_out);
             tweak = tweak.mul_alpha();
+            t
+        });
+        let mut words = [[0u8; 16]; WORDS_PER_BLOCK];
+        for ((word, chunk), t) in words.iter_mut().zip(input.chunks_exact(16)).zip(&tweaks) {
+            *word = xor16(chunk.try_into().expect("16-byte word"), t);
+        }
+        let words = if encrypt {
+            self.data_cipher.encrypt_blocks(words)
+        } else {
+            self.data_cipher.decrypt_blocks(words)
+        };
+        let mut out = [0u8; 64];
+        for ((chunk, word), t) in out.chunks_exact_mut(16).zip(&words).zip(&tweaks) {
+            chunk.copy_from_slice(&xor16(*word, t));
         }
         out
     }
+}
+
+fn xor16(mut a: [u8; 16], b: &[u8; 16]) -> [u8; 16] {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x ^= y;
+    }
+    a
 }
 
 #[cfg(test)]

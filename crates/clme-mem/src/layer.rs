@@ -36,14 +36,16 @@ use crate::dump::{DumpBundle, DumpContext};
 use crate::error::{IntegrityError, MemError, TamperClass};
 use crate::flight::{FlightRecorder, FLIGHT_CAPACITY};
 use crate::geometry::{Geometry, Region, NODE_ARITY, PAGE_BLOCKS};
-use crate::metrics::{CacheCause, MemMetrics, MemMetricsSnapshot, MemOp, MemStage, Stamp};
+use crate::metrics::{
+    CacheCause, MemMetrics, MemMetricsSnapshot, MemOp, MemStage, ReadTally, Stamp,
+};
 use crate::store::{StoreBackend, StoredWord, WORD_BYTES};
 use crate::tenant::{TailCause, TenantServe, TenantTelemetry, VisitSegments, TAIL_CAUSES};
 use clme_obs::flight::FlightSnapshot;
 use clme_counters::split::CounterBlock;
 use clme_crypto::keys::KeyMaterial;
 use clme_crypto::mac::counterless_mac;
-use clme_crypto::otp::xor64;
+use clme_crypto::otp::{trunc64, xor64};
 use clme_crypto::sha3::sha3_tag64;
 use clme_ecc::codec;
 use clme_ecc::encmeta::{MetaWord, COUNTERLESS_FLAG, MAX_COUNTER};
@@ -264,8 +266,9 @@ fn encrypt_one(
         let mac = counterless_mac(keys.counterless_mac_key(), addr, &ct, COUNTERLESS_FLAG);
         codec::encode(&ct, mac, MetaWord::counterless())
     } else {
-        let ct = keys.otp().encrypt_block64(addr, counter, plaintext);
-        let otp_trunc = keys.otp().pad_trunc64(addr, counter);
+        let pad = keys.otp().pad_block64(addr, counter);
+        let ct = xor64(plaintext, &pad);
+        let otp_trunc = trunc64(&pad);
         let mac = keys
             .counter_mode_mac()
             .tag(otp_trunc, plaintext, counter as u32);
@@ -306,8 +309,9 @@ fn decrypt_verify(
         }
         Ok(keys.xts().decrypt_block64(addr, &ct))
     } else {
-        let pt = keys.otp().decrypt_block64(addr, counter, &ct);
-        let otp_trunc = keys.otp().pad_trunc64(addr, counter);
+        let pad = keys.otp().pad_block64(addr, counter);
+        let pt = xor64(&ct, &pad);
+        let otp_trunc = trunc64(&pad);
         if keys.counter_mode_mac().tag(otp_trunc, &pt, counter as u32) != block.mac {
             return Err(IntegrityError {
                 addr,
@@ -948,6 +952,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         addr: u64,
         counter: u64,
         batch_pad: Option<(&[u8; 64], (Instant, Instant))>,
+        tally: &mut ReadTally,
     ) -> Result<(Block, ReadMarks), MemError> {
         let counterless = counter > self.saturation;
         let issue = Instant::now();
@@ -965,7 +970,8 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             Some((p0, Instant::now()))
         };
         let d0 = Instant::now();
-        let word = self.backend.read_word(self.geo.data_word(addr))?;
+        let word = self.backend.read_word_deferred(self.geo.data_word(addr))?;
+        tally.word_read();
         let d1 = Instant::now();
         let e0 = Instant::now();
         let block = decode_word(&word);
@@ -1001,7 +1007,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             let pad_bytes = pad_bytes.as_ref().expect("pad precomputed in counter mode");
             let pt = xor64(&ct, pad_bytes);
             let m0 = Instant::now();
-            let otp_trunc = u64::from_le_bytes(pad_bytes[..8].try_into().expect("64-byte pad"));
+            let otp_trunc = trunc64(pad_bytes);
             if keys.counter_mode_mac().tag(otp_trunc, &pt, counter as u32) != block.mac {
                 return Err(IntegrityError {
                     addr,
@@ -1081,17 +1087,16 @@ impl<B: StoreBackend> MemoryAdt for EncryptionLayer<B> {
     }
 
     fn batch_read(&self, addrs: &[u64]) -> Result<Vec<Block>, MemError> {
-        let call0 = Stamp::now();
-        let result = self.batch_read_inner(addrs);
-        match &result {
-            Ok(_) => {
-                self.metrics.note_read_batch(addrs.len() as u64);
-                self.metrics.op_between(MemOp::Batch, call0, Stamp::now());
-            }
-            Err(e) => {
-                if let Some(ie) = e.integrity() {
-                    self.note_integrity_error(ie);
-                }
+        // The call's probes gather in a stack tally and fold once, when
+        // it ends; visits served before an integrity error still count.
+        let mut tally = ReadTally::default();
+        let result = self.batch_read_inner(addrs, &mut tally);
+        self.backend.count_words_read(tally.words_read());
+        let served = result.is_ok().then_some(addrs.len() as u64);
+        self.metrics.fold_read(tally, self.tenants.as_deref(), served);
+        if let Err(e) = &result {
+            if let Some(ie) = e.integrity() {
+                self.note_integrity_error(ie);
             }
         }
         result
@@ -1116,7 +1121,11 @@ impl<B: StoreBackend> MemoryAdt for EncryptionLayer<B> {
 }
 
 impl<B: StoreBackend> EncryptionLayer<B> {
-    fn batch_read_inner(&self, addrs: &[u64]) -> Result<Vec<Block>, MemError> {
+    fn batch_read_inner(
+        &self,
+        addrs: &[u64],
+        tally: &mut ReadTally,
+    ) -> Result<Vec<Block>, MemError> {
         for &addr in addrs {
             self.check_addr(addr)?;
         }
@@ -1125,6 +1134,18 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         for (i, &addr) in addrs.iter().enumerate() {
             by_page.entry(self.geo.page_of(addr)).or_default().push(i);
         }
+        self.read_pages(addrs, by_page, &mut out, tally)?;
+        Ok(out)
+    }
+
+    /// Serves every page group of a batch read, in page order.
+    fn read_pages(
+        &self,
+        addrs: &[u64],
+        by_page: BTreeMap<u64, Vec<usize>>,
+        out: &mut [Block],
+        tally: &mut ReadTally,
+    ) -> Result<(), MemError> {
         let tracing = self.tracing.load(Ordering::Relaxed);
         for (page, idxs) in by_page {
             let shard_idx = self.shard_index(page);
@@ -1158,7 +1179,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             if let (Some(w), Some(a)) = (lock_probe, acquired) {
                 segs[TailCause::Lock as usize] = a.since_ns(w);
             }
-            self.read_page_group(&keys, page, addrs, &idxs, &mut out, tracing, sampled, &mut segs)?;
+            self.read_page_group(&keys, page, addrs, &idxs, out, tracing, sampled, &mut segs, tally)?;
             if sampled {
                 if let (Some(tenants), Some(w)) = (&self.tenants, lock_probe) {
                     tenants.visit_sample(page, Stamp::now().since_ns(w), &segs);
@@ -1168,7 +1189,33 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 self.metrics.lock_hold(shard_idx, acquired);
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// A sampled visit's per-block probes: the tenant blame segments and
+    /// the stage histograms, from marks `read_one` took anyway. Kept out
+    /// of line so the fetch loop's common, unsampled path stays compact;
+    /// each stage record is two atomic RMWs, so they ride the visit's
+    /// 1-in-64 sampling decision rather than running per block.
+    #[cold]
+    #[inline(never)]
+    fn sampled_read_block(&self, marks: &ReadMarks, segs: &mut VisitSegments) {
+        let iv = |(a, b): (Instant, Instant)| b.saturating_duration_since(a).as_nanos() as u64;
+        // ECC decode rides the store segment: it is part of turning the
+        // fetched word into usable bytes.
+        segs[TailCause::Store as usize] += iv(marks.data) + iv(marks.ecc);
+        segs[TailCause::Mac as usize] += iv(marks.mac);
+        let mac = marks.mac.1.saturating_duration_since(marks.mac.0);
+        self.metrics.stage_duration(MemOp::Read, MemStage::MacVerify, mac);
+        if let Some((p0, p1)) = marks.pad {
+            let pad = p1.saturating_duration_since(p0);
+            self.metrics.stage_duration(MemOp::Read, MemStage::PadGen, pad);
+        }
+        if let Some(x) = marks.xts {
+            segs[TailCause::Pad as usize] += iv(x);
+            let xts = x.1.saturating_duration_since(x.0);
+            self.metrics.stage_duration(MemOp::Read, MemStage::PadGen, xts);
+        }
     }
 
     /// Serves one page group of a batch read: consult the verified-page
@@ -1187,6 +1234,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         tracing: bool,
         sampled: bool,
         segs: &mut VisitSegments,
+        tally: &mut ReadTally,
     ) -> Result<(), MemError> {
         let issue = Instant::now();
         let epoch = self.key_epoch.load(Ordering::SeqCst);
@@ -1215,7 +1263,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 None => {}
             }
         } else {
-            self.metrics.cache_bypass();
+            tally.cache_bypass();
         }
 
         let hits = cached
@@ -1234,11 +1282,11 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 // All blocks shared the one measured interval: a single
                 // weighted record keeps the count exhaustive (one
                 // latency sample per block) at one histogram pass.
-                self.metrics
-                    .op_duration_n(MemOp::Read, elapsed, idxs.len() as u64);
-                self.metrics.cache_hit();
+                tally.op_duration_n(elapsed, idxs.len() as u64);
+                tally.cache_hit();
+                tally.visit(issue, done);
                 if let Some(tenants) = &self.tenants {
-                    tenants.page_served(page, TenantServe::Hit);
+                    tally.page_served(tenants, page, TenantServe::Hit);
                 }
                 if sampled {
                     self.flight.read_hit(page, idxs.len() as u64);
@@ -1258,20 +1306,20 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let mut meta: Option<(Instant, Instant)> = None;
         let (cb, got) = match cached {
             Some((cb, got)) => {
-                self.metrics.cache_partial_hit();
+                tally.cache_partial_hit();
                 if let Some(tenants) = &self.tenants {
-                    tenants.page_served(page, TenantServe::Partial);
+                    tally.page_served(tenants, page, TenantServe::Partial);
                 }
                 (cb, got)
             }
             None => {
                 if self.cache.is_some() {
-                    self.metrics.cache_miss();
+                    tally.cache_miss();
                 }
                 // Tenant tables fold bypasses in with misses: either
                 // way the full verification chain ran for this tenant.
                 if let Some(tenants) = &self.tenants {
-                    tenants.page_served(page, TenantServe::Miss);
+                    tally.page_served(tenants, page, TenantServe::Miss);
                 }
                 let meta0 = Instant::now();
                 let v = {
@@ -1310,8 +1358,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         }
         // The cached blocks all shared the one serve interval: one
         // weighted record per visit instead of one per block.
-        self.metrics
-            .op_duration_n(MemOp::Read, hit_elapsed, hits as u64);
+        tally.op_duration_n(hit_elapsed, hits as u64);
 
         // One batched pass over the shared AES key schedule generates
         // every absent counter-mode block's pad up front (the paper's
@@ -1337,6 +1384,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let mut traced: Vec<(u64, ReadMarks)> = Vec::new();
         let mut fresh: Vec<(usize, Block)> = Vec::new();
         let mut next_pad = 0usize;
+        let mut end = served;
         for (k, &i) in idxs.iter().enumerate() {
             if got[k].is_some() {
                 continue;
@@ -1351,52 +1399,19 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 next_pad += 1;
                 (pad, pad_iv)
             });
-            let (block, marks) = self.read_one(keys, addr, counter, batch_pad)?;
+            let (block, marks) = self.read_one(keys, addr, counter, batch_pad, tally)?;
             if sampled {
-                let iv = |(a, b): (Instant, Instant)| b.saturating_duration_since(a).as_nanos() as u64;
-                // ECC decode rides the store segment: it is part of
-                // turning the fetched word into usable bytes.
-                segs[TailCause::Store as usize] += iv(marks.data) + iv(marks.ecc);
-                segs[TailCause::Mac as usize] += iv(marks.mac);
-                if let Some(x) = marks.xts {
-                    segs[TailCause::Pad as usize] += iv(x);
-                }
+                self.sampled_read_block(&marks, segs);
             }
-            // The marks are free (span tracing reads those clocks
-            // anyway), but each histogram record touches a bucket
-            // cache line the workload then evicts, so the per-block
-            // stage records are sampled like the write-path probes.
-            if self.metrics.sample() {
-                self.metrics.stage_duration(
-                    MemOp::Read,
-                    MemStage::MacVerify,
-                    marks.mac.1.saturating_duration_since(marks.mac.0),
-                );
-                if let Some((p0, p1)) = marks.pad {
-                    self.metrics.stage_duration(
-                        MemOp::Read,
-                        MemStage::PadGen,
-                        p1.saturating_duration_since(p0),
-                    );
-                }
-                if let Some((x0, x1)) = marks.xts {
-                    self.metrics.stage_duration(
-                        MemOp::Read,
-                        MemStage::PadGen,
-                        x1.saturating_duration_since(x0),
-                    );
-                }
-            }
-            self.metrics.op_duration(
-                MemOp::Read,
-                marks.ready.saturating_duration_since(marks.issue),
-            );
+            tally.op_duration(marks.ready.saturating_duration_since(marks.issue));
+            end = marks.ready;
             out[i] = block;
             fresh.push((self.geo.slot_of(addr), block));
             if tracing {
                 traced.push((addr, marks));
             }
         }
+        tally.visit(issue, end);
         if tracing {
             if !hit_addrs.is_empty() {
                 self.emit_hit_spans(issue, served, &hit_addrs);

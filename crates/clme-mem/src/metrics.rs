@@ -39,13 +39,12 @@ use clme_obs::registry::{Counter, Gauge, Registry, Sample, ShardedHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(feature = "telemetry-off"))]
 use std::sync::Arc;
-#[cfg(not(feature = "telemetry-off"))]
-use std::time::Instant;
 
 #[cfg(feature = "telemetry-off")]
 use clme_obs::registry::Sample;
 
-use std::time::Duration;
+use crate::tenant::{TenantServe, TenantTelemetry};
+use std::time::{Duration, Instant};
 
 /// Operation classes the per-op histograms split on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,7 +53,10 @@ pub enum MemOp {
     Read = 0,
     /// One block written (per-block latency inside any write call).
     Write = 1,
-    /// A whole `batch_read`/`batch_write` call, any size.
+    /// A whole `batch_read`/`batch_write` call, any size. A read call
+    /// is timed from its first page visit's start to its last visit's
+    /// end, marks the visits take anyway; address checks and grouping
+    /// before the first visit fall outside it.
     Batch = 2,
 }
 
@@ -953,16 +955,6 @@ impl MemMetrics {
         self.ops[op as usize].latency.record_duration(d);
     }
 
-    /// Records `n` op latencies of the same duration in one atomic
-    /// pass: a cache-served page visit answers all its blocks from one
-    /// measured interval, and one weighted record keeps the latency
-    /// count exhaustive (one sample per block) without paying the
-    /// histogram three RMWs per block on the hottest path.
-    #[inline]
-    pub fn op_duration_n(&self, op: MemOp, d: Duration, n: u64) {
-        self.ops[op as usize].latency.record_duration_n(d, n);
-    }
-
     /// Records a stage latency from a stamp pair.
     #[inline]
     pub fn stage_between(&self, op: MemOp, stage: MemStage, from: Stamp, to: Stamp) {
@@ -1033,24 +1025,6 @@ impl MemMetrics {
             .unwrap_or(0)
     }
 
-    /// A page visit was fully served from the verified-page cache.
-    #[inline]
-    pub fn cache_hit(&self) {
-        self.cache_hits.inc();
-    }
-
-    /// A page visit reused the cached counter block but fetched blocks.
-    #[inline]
-    pub fn cache_partial_hit(&self) {
-        self.cache_partial_hits.inc();
-    }
-
-    /// A page visit found nothing cached and verified from the root.
-    #[inline]
-    pub fn cache_miss(&self) {
-        self.cache_misses.inc();
-    }
-
     /// A verified-page cache entry was inserted or extended.
     #[inline]
     pub fn cache_fill(&self) {
@@ -1063,10 +1037,35 @@ impl MemMetrics {
         self.cache_evictions.inc();
     }
 
-    /// A page visit skipped the cache because it is disabled.
-    #[inline]
-    pub fn cache_bypass(&self) {
-        self.cache_bypasses.inc();
+    /// Folds one `batch_read` call's [`ReadTally`] in: a few relaxed
+    /// RMWs per call instead of several per page visit and block.
+    /// `served` is the call's block count when it succeeded; only then
+    /// does it count as a batch.
+    pub(crate) fn fold_read(
+        &self,
+        mut tally: ReadTally,
+        tenants: Option<&TenantTelemetry>,
+        served: Option<u64>,
+    ) {
+        if let Some(blocks) = served {
+            self.note_read_batch(blocks);
+            let span = tally.span.map_or(Duration::ZERO, |(a, b)| b.saturating_duration_since(a));
+            self.op_duration(MemOp::Batch, span);
+        }
+        if let Some(tenants) = tenants {
+            tally.flush_serves(tenants);
+        }
+        self.ops[MemOp::Read as usize].latency.add(&tally.latency);
+        for (counter, n) in [
+            (&self.cache_hits, tally.hits),
+            (&self.cache_partial_hits, tally.partial_hits),
+            (&self.cache_misses, tally.misses),
+            (&self.cache_bypasses, tally.bypasses),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// `entries` cache entries were dropped for `cause`.
@@ -1209,6 +1208,112 @@ impl MemMetrics {
     }
 }
 
+/// The read path's exhaustive probes for one `batch_read` call — the
+/// read op latency of every block, the cache outcome of every page
+/// visit (also per tenant) and the call's own latency — gathered
+/// without atomics or extra clock reads and folded into [`MemMetrics`]
+/// by [`MemMetrics::fold_read`] when the call ends. A cache-served
+/// visit takes well under a microsecond, so several atomic RMWs per
+/// visit were a visible share of it. Snapshots see a call's samples
+/// once it returns.
+#[cfg(not(feature = "telemetry-off"))]
+#[derive(Default)]
+pub(crate) struct ReadTally {
+    latency: Log2Histogram,
+    hits: u64,
+    partial_hits: u64,
+    misses: u64,
+    bypasses: u64,
+    /// Data words read through `StoreBackend::read_word_deferred`.
+    words: u64,
+    /// First visit's issue mark and last visit's end mark.
+    span: Option<(Instant, Instant)>,
+    /// Visit outcomes of the current run of pages owned by one tenant
+    /// slot; flushed when the slot changes and when the call ends.
+    serve_slot: Option<usize>,
+    serves: [u64; 3],
+}
+
+#[cfg(not(feature = "telemetry-off"))]
+impl ReadTally {
+    /// Records `n` block read latencies of the same duration.
+    #[inline]
+    pub fn op_duration_n(&mut self, d: Duration, n: u64) {
+        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.latency.record_ps_n(ns.saturating_mul(1000), n);
+    }
+
+    /// Records one block read latency.
+    #[inline]
+    pub fn op_duration(&mut self, d: Duration) {
+        self.op_duration_n(d, 1);
+    }
+
+    /// A page visit was fully served from the verified-page cache.
+    #[inline]
+    pub fn cache_hit(&mut self) {
+        self.hits += 1;
+    }
+
+    /// A page visit reused the cached counter block but fetched blocks.
+    #[inline]
+    pub fn cache_partial_hit(&mut self) {
+        self.partial_hits += 1;
+    }
+
+    /// A page visit found nothing cached and verified from the root.
+    #[inline]
+    pub fn cache_miss(&mut self) {
+        self.misses += 1;
+    }
+
+    /// A page visit skipped the cache because it is disabled.
+    #[inline]
+    pub fn cache_bypass(&mut self) {
+        self.bypasses += 1;
+    }
+
+    /// One data word was read with its count deferred to the call end.
+    #[inline]
+    pub fn word_read(&mut self) {
+        self.words += 1;
+    }
+
+    /// Deferred word reads so far, for the backend's counter.
+    pub fn words_read(&self) -> u64 {
+        self.words
+    }
+
+    /// A page visit ran from `issue` to `end`, marks the visit took
+    /// anyway; the call's batch latency spans the first to the last.
+    #[inline]
+    pub fn visit(&mut self, issue: Instant, end: Instant) {
+        let first = self.span.map_or(issue, |(first, _)| first);
+        self.span = Some((first, end));
+    }
+
+    /// The verified-page cache served a visit to `page` as `serve`, for
+    /// the tenant tables.
+    #[inline]
+    pub fn page_served(&mut self, tenants: &TenantTelemetry, page: u64, serve: TenantServe) {
+        let Some(slot) = tenants.serve_slot(page) else {
+            return;
+        };
+        if self.serve_slot != Some(slot) {
+            self.flush_serves(tenants);
+            self.serve_slot = Some(slot);
+        }
+        self.serves[serve as usize] += 1;
+    }
+
+    fn flush_serves(&mut self, tenants: &TenantTelemetry) {
+        if let Some(slot) = self.serve_slot.take() {
+            tenants.fold_served(slot, &self.serves);
+            self.serves = [0; 3];
+        }
+    }
+}
+
 /// Per-backend store counters: word traffic, page-cache behaviour, and
 /// file I/O. Backends own one and report it via
 /// [`StoreBackend::store_metrics`](crate::StoreBackend::store_metrics).
@@ -1266,6 +1371,14 @@ impl StoreMetrics {
     #[inline]
     pub fn word_read(&self) {
         self.words_read.inc();
+    }
+
+    /// `n` stored words read, counted at once.
+    #[inline]
+    pub fn words_read(&self, n: u64) {
+        if n > 0 {
+            self.words_read.add(n);
+        }
     }
 
     /// One stored word written.
@@ -1357,6 +1470,47 @@ impl Stamp {
     }
 }
 
+/// No-op twin of the read tally.
+#[cfg(feature = "telemetry-off")]
+#[derive(Default)]
+pub(crate) struct ReadTally;
+
+#[cfg(feature = "telemetry-off")]
+impl ReadTally {
+    /// No-op.
+    #[inline(always)]
+    pub fn op_duration_n(&mut self, _d: Duration, _n: u64) {}
+    /// No-op.
+    #[inline(always)]
+    pub fn op_duration(&mut self, _d: Duration) {}
+    /// No-op.
+    #[inline(always)]
+    pub fn cache_hit(&mut self) {}
+    /// No-op.
+    #[inline(always)]
+    pub fn cache_partial_hit(&mut self) {}
+    /// No-op.
+    #[inline(always)]
+    pub fn cache_miss(&mut self) {}
+    /// No-op.
+    #[inline(always)]
+    pub fn cache_bypass(&mut self) {}
+    /// No-op.
+    #[inline(always)]
+    pub fn word_read(&mut self) {}
+    /// Always zero: the store counters are compiled out too.
+    #[inline(always)]
+    pub fn words_read(&self) -> u64 {
+        0
+    }
+    /// No-op.
+    #[inline(always)]
+    pub fn visit(&mut self, _issue: Instant, _end: Instant) {}
+    /// No-op.
+    #[inline(always)]
+    pub fn page_served(&mut self, _tenants: &TenantTelemetry, _page: u64, _serve: TenantServe) {}
+}
+
 /// No-op twin of the live metrics: every record call compiles away and
 /// snapshots come back empty.
 #[cfg(feature = "telemetry-off")]
@@ -1394,9 +1548,6 @@ impl MemMetrics {
     pub fn op_duration(&self, _op: MemOp, _d: Duration) {}
     /// No-op.
     #[inline(always)]
-    pub fn op_duration_n(&self, _op: MemOp, _d: Duration, _n: u64) {}
-    /// No-op.
-    #[inline(always)]
     pub fn stage_between(&self, _op: MemOp, _stage: MemStage, _from: Stamp, _to: Stamp) {}
     /// No-op.
     #[inline(always)]
@@ -1430,22 +1581,19 @@ impl MemMetrics {
     }
     /// No-op.
     #[inline(always)]
-    pub fn cache_hit(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_partial_hit(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_miss(&self) {}
-    /// No-op.
-    #[inline(always)]
     pub fn cache_fill(&self) {}
     /// No-op.
     #[inline(always)]
     pub fn cache_evict(&self) {}
     /// No-op.
     #[inline(always)]
-    pub fn cache_bypass(&self) {}
+    pub(crate) fn fold_read(
+        &self,
+        _tally: ReadTally,
+        _tenants: Option<&TenantTelemetry>,
+        _served: Option<u64>,
+    ) {
+    }
     /// No-op.
     #[inline(always)]
     pub fn cache_invalidated(&self, _cause: CacheCause, _entries: u64) {}
@@ -1494,6 +1642,9 @@ impl StoreMetrics {
     pub fn word_read(&self) {}
     /// No-op.
     #[inline(always)]
+    pub fn words_read(&self, _n: u64) {}
+    /// No-op.
+    #[inline(always)]
     pub fn word_written(&self) {}
     /// No-op.
     #[inline(always)]
@@ -1520,6 +1671,13 @@ impl StoreMetrics {
 #[cfg(all(test, not(feature = "telemetry-off")))]
 mod tests {
     use super::*;
+
+    /// Records read-path probes the way one `batch_read` call does.
+    fn fold(m: &MemMetrics, probes: impl FnOnce(&mut ReadTally)) {
+        let mut tally = ReadTally::default();
+        probes(&mut tally);
+        m.fold_read(tally, None, None);
+    }
 
     #[test]
     fn op_and_stage_histograms_split_by_class() {
@@ -1597,12 +1755,14 @@ mod tests {
         // to zero everywhere instead of wrapping to ~u64::MAX.
         let live = MemMetrics::new(2, 4);
         live.note_read_batch(3);
-        live.cache_hit();
+        fold(&live, |t| t.cache_hit());
         let newer = MemMetrics::new(2, 4);
         newer.note_read_batch(10);
         newer.note_write_batch(10);
-        newer.cache_hit();
-        newer.cache_hit();
+        fold(&newer, |t| {
+            t.cache_hit();
+            t.cache_hit();
+        });
         newer.cache_invalidated(CacheCause::Rekey, 7);
         newer.observe_ciphertext_write(0);
         newer.op_duration(MemOp::Read, Duration::from_nanos(50));
@@ -1672,13 +1832,15 @@ mod tests {
     #[test]
     fn cache_counters_snapshot_and_delta() {
         let m = MemMetrics::new(2, 4);
-        m.cache_hit();
-        m.cache_hit();
-        m.cache_partial_hit();
-        m.cache_miss();
+        fold(&m, |t| {
+            t.cache_hit();
+            t.cache_hit();
+            t.cache_partial_hit();
+            t.cache_miss();
+            t.cache_bypass();
+        });
         m.cache_fill();
         m.cache_evict();
-        m.cache_bypass();
         m.cache_invalidated(CacheCause::Write, 1);
         m.cache_invalidated(CacheCause::Foreign, 5);
         m.set_cache_resident(3);
@@ -1702,7 +1864,7 @@ mod tests {
         // Scaled storage: "ps" percentiles divide back to block counts.
         assert!(snap.fanin_write.percentile_ps(0.5) as f64 / 1000.0 >= 64.0);
 
-        m.cache_hit();
+        fold(&m, |t| t.cache_hit());
         let delta = m.snapshot(None).delta_since(&snap);
         assert_eq!(delta.cache.hits, 1);
         assert_eq!(delta.cache.misses, 0);

@@ -30,6 +30,20 @@ pub trait StoreBackend: Send + Sync {
     /// Reads one word.
     fn read_word(&self, index: u64) -> Result<StoredWord, MemError>;
 
+    /// Reads one word like [`read_word`](Self::read_word), but leaves it
+    /// out of the backend's word-read counter until the caller reports
+    /// a batch of them with [`count_words_read`](Self::count_words_read).
+    /// The layer's batched read path uses the pair to pay one counter
+    /// RMW per call instead of one per block. Override both or neither:
+    /// the defaults count on every read.
+    fn read_word_deferred(&self, index: u64) -> Result<StoredWord, MemError> {
+        self.read_word(index)
+    }
+
+    /// Counts `n` words read through
+    /// [`read_word_deferred`](Self::read_word_deferred).
+    fn count_words_read(&self, _n: u64) {}
+
     /// Writes one word.
     fn write_word(&self, index: u64, word: &StoredWord) -> Result<(), MemError>;
 
@@ -121,13 +135,22 @@ impl StoreBackend for VecBackend {
     }
 
     fn read_word(&self, index: u64) -> Result<StoredWord, MemError> {
-        check_bounds(index, self.words)?;
+        let word = self.read_word_deferred(index)?;
         self.metrics.word_read();
+        Ok(word)
+    }
+
+    fn read_word_deferred(&self, index: u64) -> Result<StoredWord, MemError> {
+        check_bounds(index, self.words)?;
         let (seg, pos) = self.locate(index);
         let guard = self.segments[seg]
             .read()
             .unwrap_or_else(PoisonError::into_inner);
         Ok(guard[pos])
+    }
+
+    fn count_words_read(&self, n: u64) {
+        self.metrics.words_read(n);
     }
 
     fn write_word(&self, index: u64, word: &StoredWord) -> Result<(), MemError> {

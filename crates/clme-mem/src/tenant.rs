@@ -794,11 +794,21 @@ impl TenantTelemetry {
         }
     }
 
-    /// Layer hook: the verified-page cache served a visit to `page`.
+    /// The slot accounting `page`'s tenant, or `None` outside every
+    /// range. The layer's read tally keys its cache-outcome runs on it.
     #[inline]
-    pub fn page_served(&self, page: u64, serve: TenantServe) {
-        if let Some(slot) = self.slot_of_page(page) {
-            self.slots[slot].cache[serve as usize].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn serve_slot(&self, page: u64) -> Option<usize> {
+        self.slot_of_page(page)
+    }
+
+    /// Layer hook: the verified-page cache served `counts` full-hit /
+    /// partial-hit / miss visits to pages of `slot`'s tenants; one RMW
+    /// per outcome seen, folded once per read call.
+    pub(crate) fn fold_served(&self, slot: usize, counts: &[u64; 3]) {
+        for (total, &n) in self.slots[slot].cache.iter().zip(counts) {
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
@@ -992,9 +1002,6 @@ impl TenantTelemetry {
     pub fn record_op(&self, _tenant: u64, _write: bool, _latency_ns: u64, _blocks: u64) {}
     /// No-op.
     #[inline(always)]
-    pub fn page_served(&self, _page: u64, _serve: TenantServe) {}
-    /// No-op.
-    #[inline(always)]
     pub fn ciphertext_writes(&self, _page: u64, _n: u64) {}
     /// No-op.
     #[inline(always)]
@@ -1114,10 +1121,17 @@ mod tests {
             pages_per: 2,
         };
         let t = TenantTelemetry::new(ranges, 3, &[0, 1, 2], Vec::new());
-        t.page_served(1, TenantServe::Hit); // tenant 0
-        t.page_served(2, TenantServe::Miss); // tenant 0
-        t.page_served(3, TenantServe::Partial); // tenant 1
-        t.page_served(0, TenantServe::Hit); // outside every range
+        let served = |page: u64, serve: TenantServe| {
+            if let Some(slot) = t.serve_slot(page) {
+                let mut counts = [0; 3];
+                counts[serve as usize] = 1;
+                t.fold_served(slot, &counts);
+            }
+        };
+        served(1, TenantServe::Hit); // tenant 0
+        served(2, TenantServe::Miss); // tenant 0
+        served(3, TenantServe::Partial); // tenant 1
+        served(0, TenantServe::Hit); // outside every range
         t.ciphertext_writes(5, 4); // tenant 2
         t.ciphertext_writes(5, 1);
         let snap = t.snapshot();

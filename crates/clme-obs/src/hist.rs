@@ -57,10 +57,18 @@ impl Log2Histogram {
     /// Records one latency sample.
     #[inline]
     pub fn record(&mut self, latency: TimeDelta) {
-        let ps = latency.picos();
-        self.counts[Self::bucket_of(ps)] += 1;
-        self.total += 1;
-        self.sum_ps += ps as u128;
+        self.record_ps_n(latency.picos(), 1);
+    }
+
+    /// Records `n` samples of the same picosecond value.
+    #[inline]
+    pub fn record_ps_n(&mut self, ps: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts[Self::bucket_of(ps)] += n;
+        self.total += n;
+        self.sum_ps += ps as u128 * n as u128;
         self.max_ps = self.max_ps.max(ps);
     }
 
@@ -133,6 +141,11 @@ impl Log2Histogram {
             }
         }
         self.max_ps
+    }
+
+    /// Exact sum of every recorded sample, in picoseconds.
+    pub fn sum_ps(&self) -> u128 {
+        self.sum_ps
     }
 
     /// Resets all buckets to empty.

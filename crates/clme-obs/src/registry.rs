@@ -127,6 +127,17 @@ impl HistShard {
             max_ps: AtomicU64::new(0),
         }
     }
+
+    /// Raises the stripe's maximum to `ps`. A relaxed load first skips
+    /// the locked compare-and-swap `fetch_max` costs when `ps` is no
+    /// new maximum, which is nearly every sample; the stored maximum is
+    /// the same either way, since it only ever grows.
+    #[inline]
+    fn raise_max(&self, ps: u64) {
+        if ps > self.max_ps.load(Ordering::Relaxed) {
+            self.max_ps.fetch_max(ps, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Hands each thread a stable small integer the first time it records.
@@ -189,25 +200,30 @@ impl ShardedHistogram {
         let shard = &self.shards[thread_shard()];
         shard.counts[Log2Histogram::bucket_of(ps)].fetch_add(1, Ordering::Relaxed);
         shard.sum_ps.fetch_add(ps, Ordering::Relaxed);
-        shard.max_ps.fetch_max(ps, Ordering::Relaxed);
+        shard.raise_max(ps);
     }
 
-    /// Records `n` samples of the same picosecond value in one atomic
-    /// pass. Batch paths that measure one interval covering `n` equal
-    /// contributions (e.g. every cache-served block of a page visit
-    /// shares the visit's latency) would otherwise pay three RMWs per
-    /// sample to record `n` identical values; this keeps the exact
-    /// same merged histogram — count, sum, buckets, max — for the
-    /// price of one.
-    #[inline]
-    pub fn record_ps_n(&self, ps: u64, n: u64) {
-        if n == 0 {
+    /// Folds in a histogram gathered locally by one thread: one relaxed
+    /// RMW per non-empty bucket plus the sum and maximum, instead of
+    /// three per sample. The merged result is the same as recording
+    /// each of `local`'s samples here (the sum wraps at 64 bits either
+    /// way).
+    pub fn add(&self, local: &Log2Histogram) {
+        if local.count() == 0 {
             return;
         }
         let shard = &self.shards[thread_shard()];
-        shard.counts[Log2Histogram::bucket_of(ps)].fetch_add(n, Ordering::Relaxed);
-        shard.sum_ps.fetch_add(ps.saturating_mul(n), Ordering::Relaxed);
-        shard.max_ps.fetch_max(ps, Ordering::Relaxed);
+        // No sample lies above the maximum's bucket.
+        let top = Log2Histogram::bucket_of(local.max_ps());
+        for (i, slot) in shard.counts[..=top].iter().enumerate() {
+            let n = local.bucket_count(i);
+            if n > 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        let sum = local.sum_ps() as u64;
+        shard.sum_ps.fetch_add(sum, Ordering::Relaxed);
+        shard.raise_max(local.max_ps());
     }
 
     /// Records one simulated-time sample.
@@ -223,14 +239,6 @@ impl ShardedHistogram {
     pub fn record_duration(&self, d: Duration) {
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         self.record_ps(ns.saturating_mul(1000));
-    }
-
-    /// Records `n` host-clock samples of the same duration in one
-    /// atomic pass (see [`record_ps_n`](Self::record_ps_n)).
-    #[inline]
-    pub fn record_duration_n(&self, d: Duration, n: u64) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.record_ps_n(ns.saturating_mul(1000), n);
     }
 
     /// Folds every shard into a single-threaded histogram.
@@ -576,6 +584,24 @@ mod tests {
         // Same bucketing as the single-threaded histogram.
         assert_eq!(merged.bucket_count(2), 2); // 2, 3
         assert_eq!(merged.bucket_count(11), 1); // 1024
+    }
+
+    #[test]
+    fn adding_a_local_histogram_equals_recording_its_samples() {
+        let (direct, folded) = (ShardedHistogram::new(), ShardedHistogram::new());
+        let mut local = Log2Histogram::new();
+        let samples = [(0u64, 1u64), (3, 2), (1000, 5), (1024, 1), (u64::MAX / 2, 1)];
+        for (ps, n) in samples {
+            for _ in 0..n {
+                direct.record_ps(ps);
+            }
+            local.record_ps_n(ps, n);
+        }
+        direct.record_ps(7);
+        folded.record_ps(7);
+        folded.add(&local);
+        folded.add(&Log2Histogram::new());
+        assert_eq!(folded.merge(), direct.merge());
     }
 
     #[test]

@@ -10,6 +10,12 @@ cargo build --release --offline
 echo "== tests =="
 cargo test -q --offline
 
+echo "== perfbench tests (the benchmark's wrappers only observe) =="
+# perfbench is a Cargo package of its own; its tests check that the
+# timed store/engine/workload wrappers change no result, over the same
+# crypto and layer code the suite above runs.
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== golden smoke diff (tiny matrix) =="
 cargo run --release -q --offline -p clme-bench --bin clme -- \
     diff --tiny --golden goldens/tiny
